@@ -18,12 +18,13 @@
 //!
 //! Deterministic results (identity verdicts, the merged store digest, the
 //! campaign digest) go to stdout; throughput and latency (router
-//! queries/s, scatter fan-out p50/p99 µs, replication lag, failover
-//! recovery ms) go to stderr and `BENCH_cluster.json`. Exits non-zero on
+//! queries/s, scatter fan-out p50/p99 µs, follower apply time per
+//! replication frame, failover recovery ms) go to stderr and
+//! `BENCH_cluster.json`. Exits non-zero on
 //! any divergence from the single-node ground truth.
 
-// Wall-clock is the *measurement* here (scatter latency, replication lag,
-// recovery time), not simulation state — benches are outside the
+// Wall-clock is the *measurement* here (scatter latency, follower apply
+// time, recovery time), not simulation state — benches are outside the
 // Instant/SystemTime gate.
 #![allow(clippy::disallowed_types)]
 
@@ -195,8 +196,8 @@ fn main() {
         verdict(tables_ok)
     );
 
-    // Replication lag: a dedicated one-shard leader/follower pair over the
-    // same stream, timing every frame's apply — ship-to-applied latency.
+    // Follower apply time: a dedicated one-shard leader/follower pair over
+    // the same stream, timing every replication frame's apply.
     let dirs1 = shard_directories(&dir, 1);
     let mut leader = ShardLeader::new(&scfg, &dirs1[0], 0, ccfg.checkpoint_every).expect("leader");
     let mut follower = Follower::new(&scfg, &dirs1[0], 0);
@@ -227,9 +228,9 @@ fn main() {
     let replica_ok = follower.sealed_store().digest() == leader.digest();
     let rep_p50 = rep_lat.quantile(0.5).unwrap_or(0);
     let rep_p99 = rep_lat.quantile(0.99).unwrap_or(0);
-    let rep_lag_ms = rep_wall * 1e3 / (rep_frames.max(1) as f64);
+    let rep_apply_ms = rep_wall * 1e3 / (rep_frames.max(1) as f64);
     eprintln!(
-        "cluster: replicated {rep_frames} frames ({} KB) — apply lag mean {rep_lag_ms:.3} ms, \
+        "cluster: replicated {rep_frames} frames ({} KB) — follower apply mean {rep_apply_ms:.3} ms, \
          p50 {rep_p50} us, p99 {rep_p99} us",
         rep_bytes / 1024,
     );
@@ -293,9 +294,9 @@ fn main() {
         .metric("scatter_p50_us", scatter_p50 as f64)
         .metric("scatter_p99_us", scatter_p99 as f64)
         .metric("replication_frames", rep_frames as f64)
-        .metric("replication_lag_ms", rep_lag_ms)
-        .metric("replication_lag_p50_us", rep_p50 as f64)
-        .metric("replication_lag_p99_us", rep_p99 as f64)
+        .metric("follower_apply_ms", rep_apply_ms)
+        .metric("follower_apply_p50_us", rep_p50 as f64)
+        .metric("follower_apply_p99_us", rep_p99 as f64)
         .metric("failover_recovery_ms", recovery_ms)
         .metric("campaign_kills", kills as f64)
         .metric("campaign_failures", campaign_failures as f64)

@@ -119,12 +119,18 @@ impl<'d> Cluster<'d> {
     }
 
     /// Deliver replication frames to every follower of `shard`, in order,
-    /// checking each ack.
+    /// checking each ack. A refused checkpoint link makes the leader's
+    /// next link a base, so the follower re-syncs from it.
     fn replicate(&mut self, shard: usize, frames: &[Vec<u8>]) -> Result<(), ClusterError> {
         for frame in frames {
             for follower in &mut self.followers[shard] {
                 let reply = follower.apply(frame);
-                proto::expect_ack(shard, &reply)?;
+                if let Err(e) = proto::expect_ack(shard, &reply) {
+                    if proto::is_checkpoint_frame(frame) {
+                        self.leaders[shard].rebase_links();
+                    }
+                    return Err(e);
+                }
             }
         }
         Ok(())
@@ -313,6 +319,54 @@ mod tests {
             f.recover().expect("recover");
             assert_eq!(f.sealed_store().digest(), before, "recovery is lossless");
         }
+    }
+
+    /// A follower that missed one delta refuses the next, the leader's
+    /// link after that is a base, and the follower converges on it.
+    #[test]
+    fn a_follower_that_missed_a_delta_resyncs_from_the_next_base() {
+        let (dir, batches, cfg) = fixture();
+        let dirs = shard_directories(&dir, 1);
+        let ccfg = ClusterConfig {
+            shards: 1,
+            replicas: 1,
+            checkpoint_every: 1,
+        };
+        let mut cluster = Cluster::new(&cfg, &ccfg, &dirs).expect("cluster");
+        let mut rest = batches.iter();
+        for b in rest.by_ref().take(6) {
+            cluster.offer(b).expect("offer");
+        }
+        // One batch's frames never reach the follower; it catches up on
+        // the segments but not on the delta that batch shipped.
+        let mut away = cluster.followers_of_mut(0).pop().expect("replica");
+        cluster.offer(rest.next().expect("batch")).expect("offer");
+        away.ingest_catchup(&cluster.leader(0).handle(&away.catchup_request()))
+            .expect("catch-up");
+        let stale = away.standby_checkpoint();
+        cluster.followers_of_mut(0).push(away);
+        assert!(matches!(
+            cluster.offer(rest.next().expect("batch")),
+            Err(ClusterError::Replication { shard: 0, .. })
+        ));
+        assert_eq!(cluster.followers_of(0)[0].standby_checkpoint(), stale);
+        cluster
+            .offer(rest.next().expect("batch"))
+            .expect("the base applies");
+        let leader = cluster.leader(0).pipeline().checkpoint();
+        assert_eq!(
+            cluster.followers_of(0)[0].standby_checkpoint(),
+            Some(leader)
+        );
+        for b in rest {
+            cluster.offer(b).expect("deltas apply again");
+        }
+        cluster.flush().expect("flush");
+        let leader = cluster.leader(0).pipeline().checkpoint();
+        assert_eq!(
+            cluster.followers_of(0)[0].standby_checkpoint(),
+            Some(leader)
+        );
     }
 
     /// Structural misuse is a typed error, not a panic.

@@ -14,11 +14,13 @@
 //!   yields the same global record set; per-shard stores register only the
 //!   devices they own, so the union of shard views *is* the fleet.
 //! * **Segment-shipping replication** ([`proto`], [`node`], [`replica`]) —
-//!   each shard leader ships its sealed `SG` segments and periodic `SP`
-//!   checkpoints to followers as `CR`-magic frames. Followers replay the
-//!   segments into their own store (digest-verified on apply), serve reads
-//!   from epoch-tagged snapshots, and can be promoted into a leader from
-//!   their durable checkpoint + segment log when the leader dies. A
+//!   each shard leader ships its sealed `SG` segments and periodic
+//!   checkpoint links (one `SP` base, then `SD` deltas of what changed) to
+//!   followers as `CR`-magic frames. Followers replay the segments into
+//!   their own store (digest-verified on apply), advance a standby
+//!   checkpoint by the deltas, serve reads from epoch-tagged snapshots, and
+//!   can be promoted into a leader from their standby checkpoint + segment
+//!   log when the leader dies. A
 //!   restarted or freshly spawned follower catches up by replaying the
 //!   leader's manifest suffix.
 //! * **Scatter-gather federation** ([`router`]) — a [`ClusterRouter`] fans

@@ -2,12 +2,17 @@
 //!
 //! The leader owns the shard's [`StreamPipeline`] and its segment backend.
 //! Every sealed segment becomes one [`Message::ShipSegment`] at the next
-//! dense log position; checkpoints ([`Message::ShipCheckpoint`]) ride the
-//! same log whenever a seal happens or the cadence fires, and always
+//! dense log position; checkpoint links ([`Message::ShipCheckpoint`]) ride
+//! the same log whenever a seal happens or the cadence fires, and always
 //! *after* the segments their manifest references — so a follower that
 //! applied the log prefix can always restore from the latest checkpoint it
-//! holds. Reads are served from an epoch-tagged queryd snapshot, the epoch
-//! being the replication position the snapshot covers.
+//! holds. The first link after [`ShardLeader::new`] or
+//! [`ShardLeader::from_parts`] is the full `SP` checkpoint, as is the first
+//! after a follower refused one ([`ShardLeader::rebase_links`]); every
+//! other one is an `SD` delta carrying only what changed since the
+//! previous link (see `cellrel_stream::link`). Reads are served from an epoch-tagged
+//! queryd snapshot, the epoch being the replication position the snapshot
+//! covers.
 
 use std::sync::Arc;
 
@@ -57,12 +62,14 @@ impl<'d> ShardLeader<'d> {
     /// replication log head resumes at the restored manifest length, so
     /// segments re-sealed during replay ship at fresh positions.
     pub fn from_parts(
-        pipeline: StreamPipeline<'d>,
+        mut pipeline: StreamPipeline<'d>,
         segs: MemSegments,
         shard: usize,
         checkpoint_every: u64,
     ) -> Self {
         let shipped = pipeline.manifest().len();
+        // Followers of this leader hold no link of it yet.
+        pipeline.rebase_links();
         let core = QuerydCore::new(Store::new(&pipeline.config().store));
         let leader = ShardLeader {
             shard,
@@ -126,6 +133,13 @@ impl<'d> ShardLeader<'d> {
         self.ship(!sealed.is_empty() || cadence)
     }
 
+    /// Make the next checkpoint link a full base. Call it when a follower
+    /// refused a link: that follower holds no link a later delta could
+    /// extend, and the base re-syncs it.
+    pub fn rebase_links(&mut self) {
+        self.pipeline.rebase_links();
+    }
+
     /// End of stream: seal everything pending and ship it, closing with a
     /// final checkpoint.
     pub fn flush(&mut self) -> Result<Vec<Vec<u8>>, ClusterError> {
@@ -134,7 +148,8 @@ impl<'d> ShardLeader<'d> {
     }
 
     /// Ship every manifest entry past the log head; optionally close the
-    /// batch of frames with a checkpoint so followers can always restore.
+    /// batch of frames with a checkpoint link so followers can always
+    /// restore.
     fn ship(&mut self, checkpoint: bool) -> Result<Vec<Vec<u8>>, ClusterError> {
         let mut frames = Vec::new();
         let pending: Vec<SegmentEntry> = self.pipeline.manifest_suffix(self.shipped).to_vec();
@@ -149,7 +164,7 @@ impl<'d> ShardLeader<'d> {
         if checkpoint {
             frames.push(proto::encode_frame(&Message::ShipCheckpoint {
                 seq: self.shipped as u64,
-                checkpoint: self.pipeline.checkpoint(),
+                checkpoint: self.pipeline.checkpoint_link(),
             }));
         }
         Ok(frames)

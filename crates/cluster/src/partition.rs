@@ -98,4 +98,42 @@ mod tests {
             );
         }
     }
+
+    /// Shard views of an already filtered directory split exactly the
+    /// devices it kept: a device the filter dropped never comes back.
+    #[test]
+    fn shard_views_of_a_filtered_directory_split_the_kept_devices() {
+        use cellrel_workload::{run_macro_study, PopulationConfig, StudyConfig};
+
+        let data = run_macro_study(&StudyConfig {
+            seed: 7,
+            population: PopulationConfig {
+                devices: 60,
+                ..Default::default()
+            },
+            days: 1,
+            bs_count: 40,
+        });
+        let dir = DeviceDirectory::from_population(&data.population);
+        let kept_dir = dir.filtered(|d| d.0 % 3 != 0);
+        let kept: Vec<DeviceId> = kept_dir.iter().map(|(d, _)| d).collect();
+        assert_eq!(kept.len(), 40);
+        for shards in [1usize, 2, 4] {
+            let mut split: Vec<DeviceId> = shard_directories(&kept_dir, shards)
+                .iter()
+                .enumerate()
+                .flat_map(|(s, view)| {
+                    view.iter()
+                        .map(|(d, _)| d)
+                        .inspect(move |&d| assert_eq!(shard_of(d, shards), s))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            split.sort();
+            assert_eq!(
+                split, kept,
+                "{shards} shard views of the filtered directory"
+            );
+        }
+    }
 }

@@ -41,7 +41,8 @@ const MIN_FRAME_LEN: usize = 2 + 1 + 1 + 4;
 
 /// Leader → follower: one sealed segment (`SG` frame) at a log position.
 pub const KIND_SEGMENT: u8 = 0x01;
-/// Leader → follower: a pipeline checkpoint (`SP` blob) at a log position.
+/// Leader → follower: a pipeline checkpoint link (`SP` base or `SD`
+/// delta) at a log position.
 pub const KIND_CHECKPOINT: u8 = 0x02;
 /// Follower → leader: replay the manifest suffix from a log position.
 pub const KIND_CATCHUP: u8 = 0x03;
@@ -86,7 +87,7 @@ pub enum Message {
     ShipCheckpoint {
         /// Replication position the checkpoint's manifest extends to.
         seq: u64,
-        /// The complete `SP` checkpoint blob.
+        /// The complete checkpoint link: an `SP` base or an `SD` delta.
         checkpoint: Vec<u8>,
     },
     /// Request the manifest suffix after `from_seq` (0 = everything).
@@ -369,6 +370,12 @@ pub fn rejection_for(e: &RepError) -> Message {
         code,
         detail: e.to_string(),
     }
+}
+
+/// Whether `frame` is headed as a checkpoint-link ship
+/// ([`KIND_CHECKPOINT`]); the rest of the frame is not checked.
+pub fn is_checkpoint_frame(frame: &[u8]) -> bool {
+    frame.get(MAGIC.len() + 1) == Some(&KIND_CHECKPOINT)
 }
 
 /// Decode a reply that must be an [`Message::Ack`]; anything else is a

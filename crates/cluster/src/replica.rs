@@ -1,14 +1,22 @@
 //! A follower replica: replays the leader's log, serves reads, stands by.
 //!
 //! Durable state is exactly what survives a follower restart: the segment
-//! bytes, the manifest they decode to, and the latest checkpoint blob.
+//! bytes, the manifest they decode to, and the standby checkpoint.
 //! The merged store, applied position, and serving snapshot are volatile
 //! and rebuilt by [`Follower::recover`]. Every applied segment is
 //! digest-verified by the segment codec before it merges, so a corrupt or
-//! torn ship is rejected at the wire, not discovered at failover. The
-//! checkpoint is likewise restore-validated on arrival — a blob that
-//! cannot actually rebuild a pipeline is refused while the leader is still
-//! alive to resend it.
+//! torn ship is rejected at the wire, not discovered at failover.
+//!
+//! Checkpoints arrive as links (see `cellrel_stream::link`). A full `SP`
+//! base is checked on arrival the way a restore would check it — a blob
+//! that cannot rebuild a pipeline is refused while the leader is still
+//! alive to resend it — and becomes the [`Standby`]. Each `SD` delta after
+//! it is decoded in full, its manifest suffix checked against this
+//! follower's own verified entries, and applied to the standby in encoded
+//! form; a delta that does not extend the standby is refused with
+//! `ERR_APPLY` and changes nothing, and the leader answers a refused link
+//! with a base next (`ShardLeader::rebase_links`). Promotion reassembles the `SP` bytes
+//! from the standby and restores from them.
 
 use std::sync::Arc;
 
@@ -20,8 +28,8 @@ use cellrel_queryd::QuerydCore;
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, Store};
 use cellrel_stream::{
-    decode_segment, MemSegments, SegmentEntry, SegmentStore, StreamConfig, StreamError,
-    StreamPipeline,
+    decode_segment, is_delta_link, MemSegments, SegmentEntry, SegmentStore, Standby, StreamConfig,
+    StreamError, StreamPipeline,
 };
 
 /// One shard's read replica and failover target.
@@ -32,7 +40,8 @@ pub struct Follower {
     // -- durable --
     segs: MemSegments,
     manifest: Vec<SegmentEntry>,
-    checkpoint: Option<(u64, Vec<u8>)>,
+    /// The newest checkpoint link and the replication position it covers.
+    standby: Option<(u64, Standby)>,
     // -- volatile --
     applied: u64,
     base: Store,
@@ -48,7 +57,7 @@ impl Follower {
             cfg: *cfg,
             segs: MemSegments::new(),
             manifest: Vec::new(),
-            checkpoint: None,
+            standby: None,
             applied: 0,
             base: Store::new(&cfg.store),
             core: QuerydCore::new(Store::new(&cfg.store)),
@@ -72,9 +81,16 @@ impl Follower {
         self.applied
     }
 
-    /// Replication position of the newest restore-validated checkpoint.
+    /// Replication position of the newest applied checkpoint link.
     pub fn checkpoint_seq(&self) -> Option<u64> {
-        self.checkpoint.as_ref().map(|(seq, _)| *seq)
+        self.standby.as_ref().map(|(seq, _)| *seq)
+    }
+
+    /// The `SP` checkpoint a promotion would restore from, reassembled from
+    /// the standby — byte-identical to the leader's checkpoint at the
+    /// newest applied link. `None` before the first base arrives.
+    pub fn standby_checkpoint(&self) -> Option<Vec<u8>> {
+        self.standby.as_ref().map(|(_, s)| s.checkpoint())
     }
 
     /// The replayed manifest.
@@ -154,7 +170,8 @@ impl Follower {
         }
     }
 
-    /// Validate and retain a checkpoint covering the applied prefix.
+    /// Apply a checkpoint link covering the applied prefix: a base
+    /// replaces the standby, a delta advances it.
     fn apply_checkpoint(&mut self, seq: u64, bytes: Vec<u8>) -> Message {
         if seq > self.applied {
             return Message::Rejection {
@@ -165,17 +182,29 @@ impl Follower {
                 ),
             };
         }
-        // Restore-validate now, against the segments we actually hold:
-        // a checkpoint that cannot rebuild a pipeline is useless at
-        // promotion time and must be refused while it is still cheap to.
-        if let Err(e) = StreamPipeline::restore(&bytes, &self.dir, &self.segs) {
+        let applied = if is_delta_link(&bytes) {
+            match &mut self.standby {
+                Some((at, standby)) => standby
+                    .apply(&bytes, &self.manifest, &self.dir)
+                    .map(|()| *at = seq)
+                    .map_err(|e| e.to_string()),
+                None => Err("delta link arrived before any base".to_string()),
+            }
+        } else {
+            // Check now, against the segments we actually hold: a
+            // checkpoint that cannot rebuild a pipeline is useless at
+            // promotion time and must be refused while it is still cheap to.
+            Standby::from_base(&bytes, &self.segs)
+                .map(|s| self.standby = Some((seq, s)))
+                .map_err(|e| e.to_string())
+        };
+        if let Err(e) = applied {
             return Message::Rejection {
                 code: proto::ERR_APPLY,
                 detail: format!("checkpoint rejected: {e}"),
             };
         }
         let digest = u64::from(crc32(&bytes));
-        self.checkpoint = Some((seq, bytes));
         Message::Ack { seq, digest }
     }
 
@@ -255,19 +284,180 @@ impl Follower {
     }
 
     /// Promotion: rebuild a leader-grade pipeline from the durable
-    /// checkpoint (or from scratch if none arrived yet) plus the segment
-    /// log. Returns the pipeline and the segment backend the new leader
-    /// takes over; the caller replays the shard's batches from
-    /// `pipeline.cursor()`.
+    /// checkpoint — the `SP` bytes reassembled from the standby — (or from
+    /// scratch if none arrived yet) plus the segment log. Returns the
+    /// pipeline and the segment backend the new leader takes over; the
+    /// caller replays the shard's batches from `pipeline.cursor()`.
     pub fn promote<'d>(
         &self,
         dir: &'d DeviceDirectory,
     ) -> Result<(StreamPipeline<'d>, MemSegments), ClusterError> {
         let segs = self.segs.clone();
-        let pipeline = match &self.checkpoint {
-            Some((_, bytes)) => StreamPipeline::restore(bytes, dir, &segs)?,
+        let pipeline = match &self.standby {
+            Some((_, standby)) => StreamPipeline::restore(&standby.checkpoint(), dir, &segs)?,
             None => StreamPipeline::new(&self.cfg, dir)?,
         };
         Ok((pipeline, segs))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::ShardLeader;
+    use crate::partition::{shard_directories, shard_of_batch};
+    use cellrel_stream::batches_from_events;
+    use cellrel_workload::{run_macro_study, PopulationConfig, StudyConfig};
+
+    fn fixture() -> (DeviceDirectory, Vec<Vec<u8>>, StreamConfig) {
+        let data = run_macro_study(&StudyConfig {
+            seed: 2021,
+            population: PopulationConfig {
+                devices: 200,
+                ..Default::default()
+            },
+            days: 3,
+            bs_count: 80,
+        });
+        let dir = DeviceDirectory::from_population(&data.population);
+        let cfg = StreamConfig {
+            window_ms: 86_400_000,
+            lateness_ms: 2 * 3_600_000,
+            hot_windows: 2,
+            late_flush: 256,
+            ..Default::default()
+        };
+        (dir, batches_from_events(&data.events, 32), cfg)
+    }
+
+    /// At every link of a 2-shard run — base, deltas, the flush — the
+    /// standby reassembles exactly the leader's `SP` checkpoint, and only
+    /// the first link of each shard is a full base.
+    #[test]
+    fn standby_reassembles_the_leader_checkpoint_at_every_link() {
+        let (dir, batches, cfg) = fixture();
+        let dirs = shard_directories(&dir, 2);
+        let mut leaders: Vec<ShardLeader> = dirs
+            .iter()
+            .enumerate()
+            .map(|(s, d)| ShardLeader::new(&cfg, d, s, 4).expect("leader"))
+            .collect();
+        let mut followers: Vec<Follower> = dirs
+            .iter()
+            .enumerate()
+            .map(|(s, d)| Follower::new(&cfg, d, s))
+            .collect();
+        let mut links = [0usize; 2];
+        let mut deltas = 0;
+        let mut deliver = |shard: usize, frames: Vec<Vec<u8>>, leader: &ShardLeader| {
+            for frame in frames {
+                proto::expect_ack(shard, &followers[shard].apply(&frame)).expect("acked");
+                if proto::is_checkpoint_frame(&frame) {
+                    let Message::ShipCheckpoint { checkpoint, .. } =
+                        proto::decode_frame(&frame).expect("decodes")
+                    else {
+                        unreachable!("kind byte says checkpoint");
+                    };
+                    assert_eq!(is_delta_link(&checkpoint), links[shard] > 0);
+                    deltas += usize::from(links[shard] > 0);
+                    links[shard] += 1;
+                    let standby = followers[shard].standby_checkpoint().expect("standby");
+                    assert!(
+                        standby == leader.pipeline().checkpoint(),
+                        "shard {shard} link {} reassembles different bytes",
+                        links[shard] - 1
+                    );
+                }
+            }
+        };
+        for b in &batches {
+            let shard = shard_of_batch(b, 2).expect("routable");
+            let frames = leaders[shard].offer(b).expect("offer");
+            deliver(shard, frames, &leaders[shard]);
+        }
+        for (shard, leader) in leaders.iter_mut().enumerate() {
+            let frames = leader.flush().expect("flush");
+            deliver(shard, frames, leader);
+        }
+        assert!(links.iter().all(|&n| n > 2), "links per shard {links:?}");
+        assert!(deltas > 0);
+    }
+
+    /// A delta that does not extend the standby — replayed, skipped ahead,
+    /// or sent with no base — is refused with `ERR_APPLY` and leaves the
+    /// standby unchanged.
+    #[test]
+    fn a_delta_that_does_not_extend_the_standby_is_refused() {
+        let (dir, batches, cfg) = fixture();
+        let dirs = shard_directories(&dir, 1);
+        let mut leader = ShardLeader::new(&cfg, &dirs[0], 0, 1).expect("leader");
+        let mut follower = Follower::new(&cfg, &dirs[0], 0);
+        let mut kept: Vec<Vec<u8>> = Vec::new();
+        for b in &batches[..12] {
+            for frame in leader.offer(b).expect("offer") {
+                proto::expect_ack(0, &follower.apply(&frame)).expect("acked");
+                if proto::is_checkpoint_frame(&frame) {
+                    kept.push(frame);
+                }
+            }
+        }
+        assert!(kept.len() >= 4, "a base and deltas");
+        let before = follower.standby_checkpoint().expect("standby");
+        let seq = follower.checkpoint_seq();
+        let rejected = |reply: &[u8]| {
+            matches!(
+                proto::decode_frame(reply),
+                Ok(Message::Rejection {
+                    code: proto::ERR_APPLY,
+                    ..
+                })
+            )
+        };
+        // Replays of an applied delta, and a delta from further back.
+        for old in [&kept[kept.len() - 1], &kept[1]] {
+            assert!(rejected(&follower.apply(old)));
+            assert_eq!(follower.standby_checkpoint().as_deref(), Some(&before[..]));
+            assert_eq!(follower.checkpoint_seq(), seq);
+        }
+        // Skipping a link: the leader's next delta after one that never
+        // arrived.
+        let mut skipped = false;
+        for b in &batches[12..] {
+            let frames = leader.offer(b).expect("offer");
+            if frames.iter().any(|f| proto::is_checkpoint_frame(f)) {
+                if !skipped {
+                    skipped = true;
+                    // Segments still go through; the delta is dropped.
+                    for f in frames.iter().filter(|f| !proto::is_checkpoint_frame(f)) {
+                        proto::expect_ack(0, &follower.apply(f)).expect("acked");
+                    }
+                    continue;
+                }
+                for f in &frames {
+                    let reply = follower.apply(f);
+                    if proto::is_checkpoint_frame(f) {
+                        assert!(rejected(&reply), "a skipped-ahead delta is refused");
+                    }
+                }
+                break;
+            }
+            for f in &frames {
+                proto::expect_ack(0, &follower.apply(f)).expect("acked");
+            }
+        }
+        assert!(skipped);
+        assert_eq!(follower.standby_checkpoint().as_deref(), Some(&before[..]));
+        // A delta with no base to extend (at a position the empty replica
+        // covers, so only the missing base can refuse it).
+        let Ok(Message::ShipCheckpoint { checkpoint, .. }) =
+            proto::decode_frame(kept.last().expect("kept"))
+        else {
+            unreachable!("kept frames are checkpoints");
+        };
+        assert!(is_delta_link(&checkpoint));
+        let mut fresh = Follower::new(&cfg, &dirs[0], 0);
+        let frame = proto::encode_frame(&Message::ShipCheckpoint { seq: 0, checkpoint });
+        assert!(rejected(&fresh.apply(&frame)));
+        assert_eq!(fresh.standby_checkpoint(), None);
     }
 }

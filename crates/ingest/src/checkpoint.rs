@@ -23,6 +23,10 @@
 //!
 //! Sketches serialize sparsely — only non-empty buckets, with delta-coded
 //! indices — so an idle shard costs a handful of bytes, not 58 KiB.
+//! Each `shard` section is self-contained, so [`CheckpointParts`] can hold
+//! a checkpoint as per-shard sections, replace the ones a batch touched
+//! ([`save_shard`], validated by [`check_shard`]), and reassemble the
+//! exact [`save_checkpoint`] bytes.
 //! Restore is total: corrupt or truncated checkpoints yield a
 //! [`DecodeError`], never a panic or a half-restored collector.
 
@@ -117,45 +121,179 @@ fn read_agg(bytes: &[u8], pos: &mut usize) -> Result<IngestAggregate, DecodeErro
     Ok(a)
 }
 
-/// Serialize the collector's full state.
-pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+fn write_header(out: &mut Vec<u8>, virtual_shards: usize, lateness_ms: u64, unroutable: u64) {
     out.extend_from_slice(&CKPT_MAGIC);
     out.push(CKPT_VERSION);
-    write_varint(&mut out, c.virtual_shards as u64);
-    write_varint(&mut out, c.lateness_ms);
-    write_varint(&mut out, c.unroutable);
-    for s in &c.shards {
-        let k = &s.counters;
-        for v in [
-            k.batches,
-            k.bytes,
-            k.records,
-            k.decode_errors,
-            k.duplicate_batches,
-            k.duplicate_records,
-            k.filtered_noise,
-            k.late_records,
-            k.out_of_order_batches,
-        ] {
-            write_varint(&mut out, v);
-        }
-        write_varint(&mut out, s.watermark_ms);
-        write_varint(&mut out, s.last_seq.len() as u64);
-        for (&dev, &seq) in &s.last_seq {
-            write_varint(&mut out, u64::from(dev));
-            write_varint(&mut out, seq);
-        }
-        write_agg(&mut out, &s.agg);
+    write_varint(out, virtual_shards as u64);
+    write_varint(out, lateness_ms);
+    write_varint(out, unroutable);
+}
+
+fn write_shard(out: &mut Vec<u8>, s: &ShardState) {
+    let k = &s.counters;
+    for v in [
+        k.batches,
+        k.bytes,
+        k.records,
+        k.decode_errors,
+        k.duplicate_batches,
+        k.duplicate_records,
+        k.filtered_noise,
+        k.late_records,
+        k.out_of_order_batches,
+    ] {
+        write_varint(out, v);
     }
+    write_varint(out, s.watermark_ms);
+    write_varint(out, s.last_seq.len() as u64);
+    for (&dev, &seq) in &s.last_seq {
+        write_varint(out, u64::from(dev));
+        write_varint(out, seq);
+    }
+    write_agg(out, &s.agg);
+}
+
+fn read_shard(payload: &[u8], pos: &mut usize) -> Result<ShardState, DecodeError> {
+    let mut k = IngestCounters::default();
+    for v in [
+        &mut k.batches,
+        &mut k.bytes,
+        &mut k.records,
+        &mut k.decode_errors,
+        &mut k.duplicate_batches,
+        &mut k.duplicate_records,
+        &mut k.filtered_noise,
+        &mut k.late_records,
+        &mut k.out_of_order_batches,
+    ] {
+        *v = read_varint(payload, pos)?;
+    }
+    let watermark_ms = read_varint(payload, pos)?;
+    let nseq = read_varint(payload, pos)?;
+    // Each entry costs ≥ 2 bytes; bound before allocating.
+    if nseq > (payload.len() as u64) / 2 + 1 {
+        return Err(DecodeError::InvalidField("nseq"));
+    }
+    let mut last_seq = BTreeMap::new();
+    for _ in 0..nseq {
+        let dev = read_varint(payload, pos)?;
+        let dev = u32::try_from(dev).map_err(|_| DecodeError::InvalidField("device"))?;
+        let seq = read_varint(payload, pos)?;
+        last_seq.insert(dev, seq);
+    }
+    let agg = read_agg(payload, pos)?;
+    Ok(ShardState {
+        agg,
+        counters: k,
+        last_seq,
+        watermark_ms,
+    })
+}
+
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
+/// Serialize the collector's full state.
+pub fn save_checkpoint(c: &Collector) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    write_header(&mut out, c.virtual_shards, c.lateness_ms, c.unroutable);
+    for s in &c.shards {
+        write_shard(&mut out, s);
+    }
+    seal(out)
+}
+
+/// Encode one virtual shard's section of the checkpoint — the `shard`
+/// production of the layout. Panics if `shard` is out of range.
+pub fn save_shard(c: &Collector, shard: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    write_shard(&mut out, &c.shards[shard]);
+    out
+}
+
+/// Decode one virtual shard's section totally, as [`restore_checkpoint`]
+/// would, and discard it: malformed, truncated, or over-long sections are
+/// a [`DecodeError`].
+pub fn check_shard(bytes: &[u8]) -> Result<(), DecodeError> {
+    let mut pos = 0;
+    read_shard(bytes, &mut pos)?;
+    if pos != bytes.len() {
+        return Err(DecodeError::TrailingBytes);
+    }
+    Ok(())
+}
+
+/// A collector checkpoint split at virtual-shard boundaries: the header
+/// fields plus each shard's encoded section. A holder can replace single
+/// sections (see [`save_shard`], checked by [`check_shard`]) and
+/// [`encode`](Self::encode) the whole — byte-identical to
+/// [`save_checkpoint`] of the collector whose sections it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointParts {
+    /// Lateness window, ms.
+    pub lateness_ms: u64,
+    /// Batches whose header could not be peeked for routing.
+    pub unroutable: u64,
+    /// One encoded section per virtual shard, in shard order.
+    pub shards: Vec<Vec<u8>>,
+}
+
+impl CheckpointParts {
+    /// Split `CK` bytes into sections, decoding each one totally as
+    /// [`restore_checkpoint`] would — but one shard at a time, so the
+    /// whole dense collector is never built. Accepts exactly what
+    /// `restore_checkpoint` accepts.
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let (lateness_ms, unroutable, shards) = read_checkpoint(bytes, |payload, pos| {
+            let start = *pos;
+            read_shard(payload, pos)?;
+            Ok(payload[start..*pos].to_vec())
+        })?;
+        Ok(CheckpointParts {
+            lateness_ms,
+            unroutable,
+            shards,
+        })
+    }
+
+    /// The complete `CK` checkpoint.
+    pub fn encode(&self) -> Vec<u8> {
+        let body: usize = self.shards.iter().map(Vec::len).sum();
+        let mut out = Vec::with_capacity(body + 32);
+        write_header(
+            &mut out,
+            self.shards.len(),
+            self.lateness_ms,
+            self.unroutable,
+        );
+        for s in &self.shards {
+            out.extend_from_slice(s);
+        }
+        seal(out)
+    }
+}
+
 /// Rebuild a collector from checkpoint bytes. Total: malformed input yields
 /// a [`DecodeError`].
 pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, DecodeError> {
+    let (lateness_ms, unroutable, shards) = read_checkpoint(bytes, read_shard)?;
+    Ok(Collector {
+        virtual_shards: shards.len(),
+        lateness_ms,
+        shards,
+        unroutable,
+    })
+}
+
+/// Check framing and header, then read every shard section with `shard`:
+/// `(lateness_ms, unroutable, sections)`.
+fn read_checkpoint<T>(
+    bytes: &[u8],
+    mut shard: impl FnMut(&[u8], &mut usize) -> Result<T, DecodeError>,
+) -> Result<(u64, u64, Vec<T>), DecodeError> {
     if bytes.len() < CKPT_MAGIC.len() + 1 + 4 {
         return Err(DecodeError::Truncated);
     }
@@ -182,50 +320,12 @@ pub fn restore_checkpoint(bytes: &[u8]) -> Result<Collector, DecodeError> {
     let unroutable = read_varint(payload, &mut pos)?;
     let mut shards = Vec::with_capacity(virtual_shards as usize);
     for _ in 0..virtual_shards {
-        let mut k = IngestCounters::default();
-        for v in [
-            &mut k.batches,
-            &mut k.bytes,
-            &mut k.records,
-            &mut k.decode_errors,
-            &mut k.duplicate_batches,
-            &mut k.duplicate_records,
-            &mut k.filtered_noise,
-            &mut k.late_records,
-            &mut k.out_of_order_batches,
-        ] {
-            *v = read_varint(payload, &mut pos)?;
-        }
-        let watermark_ms = read_varint(payload, &mut pos)?;
-        let nseq = read_varint(payload, &mut pos)?;
-        // Each entry costs ≥ 2 bytes; bound before allocating.
-        if nseq > (payload.len() as u64) / 2 + 1 {
-            return Err(DecodeError::InvalidField("nseq"));
-        }
-        let mut last_seq = BTreeMap::new();
-        for _ in 0..nseq {
-            let dev = read_varint(payload, &mut pos)?;
-            let dev = u32::try_from(dev).map_err(|_| DecodeError::InvalidField("device"))?;
-            let seq = read_varint(payload, &mut pos)?;
-            last_seq.insert(dev, seq);
-        }
-        let agg = read_agg(payload, &mut pos)?;
-        shards.push(ShardState {
-            agg,
-            counters: k,
-            last_seq,
-            watermark_ms,
-        });
+        shards.push(shard(payload, &mut pos)?);
     }
     if pos != payload.len() {
         return Err(DecodeError::TrailingBytes);
     }
-    Ok(Collector {
-        virtual_shards: virtual_shards as usize,
-        lateness_ms,
-        shards,
-        unroutable,
-    })
+    Ok((lateness_ms, unroutable, shards))
 }
 
 /// [`save_checkpoint`] with telemetry: counts the save and the encoded
@@ -337,12 +437,74 @@ mod tests {
         let bytes = save_checkpoint(&populated());
         for cut in 0..bytes.len().min(64) {
             assert!(restore_checkpoint(&bytes[..cut]).is_err());
+            assert!(CheckpointParts::decode(&bytes[..cut]).is_err());
         }
         for i in (0..bytes.len()).step_by(7) {
             let mut bad = bytes.clone();
             bad[i] ^= 0x20;
             assert!(restore_checkpoint(&bad).is_err(), "flip at {i} undetected");
+            assert!(
+                CheckpointParts::decode(&bad).is_err(),
+                "flip at {i} undetected"
+            );
         }
+    }
+
+    #[test]
+    fn parts_reassemble_the_checkpoint_and_sections_decode_totally() {
+        let c = populated();
+        let bytes = save_checkpoint(&c);
+        let mut parts = CheckpointParts::decode(&bytes).expect("own checkpoint splits");
+        assert_eq!(parts.encode(), bytes);
+        for s in &parts.shards {
+            check_shard(s).expect("own section decodes");
+            for cut in 0..s.len() {
+                assert!(check_shard(&s[..cut]).is_err(), "prefix {cut} accepted");
+            }
+            let mut long = s.clone();
+            long.push(0);
+            assert_eq!(check_shard(&long), Err(DecodeError::TrailingBytes));
+        }
+        // Replacing one section with a later state of that shard gives the
+        // later collector's checkpoint.
+        let mut later = c.clone();
+        later.ingest(&encode_batch(DeviceId(3), 9, &[ev(3, 50_000, 4)]));
+        let shard = later.shard_of(DeviceId(3));
+        parts.shards[shard] = save_shard(&later, shard);
+        assert_eq!(parts.encode(), save_checkpoint(&later));
+    }
+
+    /// An empty sketch recorded with a nonzero min restores, digests,
+    /// re-checkpoints and keeps ingesting like an empty one.
+    #[test]
+    fn empty_sketch_with_a_stray_min_restores_cleanly() {
+        let cfg = CollectorConfig {
+            virtual_shards: 1,
+            ..CollectorConfig::default()
+        };
+        let empty = Collector::new(&cfg);
+        let mut parts = CheckpointParts::decode(&save_checkpoint(&empty)).expect("own");
+        // The section ends in six empty sketches: count, min, max, nnz = 0.
+        let section = &mut parts.shards[0];
+        assert!(section.ends_with(&[0; 24]));
+        section.truncate(section.len() - 24);
+        for _ in 0..6 {
+            section.push(0);
+            write_varint(section, 1000);
+            section.extend_from_slice(&[0, 0]);
+        }
+        check_shard(&parts.shards[0]).expect("section decodes");
+        let bytes = parts.encode();
+        assert_eq!(CheckpointParts::decode(&bytes).expect("splits"), parts);
+        let mut r = restore_checkpoint(&bytes).expect("restores");
+        assert_eq!(r.digest(), empty.digest());
+        assert_eq!(save_checkpoint(&r), save_checkpoint(&empty));
+        let mut e = empty.clone();
+        let b = encode_batch(DeviceId(1), 0, &[ev(1, 500, 7)]);
+        r.ingest(&b);
+        e.ingest(&b);
+        assert_eq!(r.digest(), e.digest());
+        assert_eq!(save_checkpoint(&r), save_checkpoint(&e));
     }
 
     #[test]

@@ -195,6 +195,41 @@ fn canonical_key(e: &FailureEvent) -> (u64, usize, u64, i64, u8, u8, u8, u64, u8
     )
 }
 
+/// Append one record in the batch layout (everything but the device),
+/// its start stored as the delta from `prev_start_ms`, which must not
+/// exceed it. Other frames that carry records (the stream crate's delta
+/// checkpoint links) reuse this layout with `prev_start_ms = 0`.
+#[inline]
+pub fn write_record(out: &mut Vec<u8>, e: &FailureEvent, prev_start_ms: u64) {
+    out.push(e.kind.index() as u8);
+    write_varint(out, e.start.as_millis() - prev_start_ms);
+    write_varint(out, e.duration.as_millis());
+    match e.cause {
+        None => out.push(0),
+        Some(c) => write_varint(out, 1 + zigzag(i64::from(c.code()))),
+    }
+    out.push(e.ctx.rat.index() as u8);
+    out.push(e.ctx.signal.value());
+    out.push(e.ctx.apn.index() as u8);
+    match e.ctx.bs {
+        None => out.push(0),
+        Some(BsId::Gsm { mcc, mnc, lac, cid }) => {
+            out.push(1);
+            write_varint(out, u64::from(mcc));
+            write_varint(out, u64::from(mnc));
+            write_varint(out, u64::from(lac));
+            write_varint(out, u64::from(cid));
+        }
+        Some(BsId::Cdma { sid, nid, bid }) => {
+            out.push(2);
+            write_varint(out, u64::from(sid));
+            write_varint(out, u64::from(nid));
+            write_varint(out, u64::from(bid));
+        }
+    }
+    out.push(e.ctx.isp.index() as u8);
+}
+
 /// Encode one device's records as a wire batch.
 ///
 /// The `device` in the header is authoritative; per-record device ids are
@@ -218,35 +253,8 @@ pub fn encode_batch(device: DeviceId, seq: u64, records: &[FailureEvent]) -> Vec
 
     let mut prev_start = 0u64;
     for e in sorted {
-        out.push(e.kind.index() as u8);
-        let start = e.start.as_millis();
-        write_varint(&mut out, start - prev_start);
-        prev_start = start;
-        write_varint(&mut out, e.duration.as_millis());
-        match e.cause {
-            None => out.push(0),
-            Some(c) => write_varint(&mut out, 1 + zigzag(i64::from(c.code()))),
-        }
-        out.push(e.ctx.rat.index() as u8);
-        out.push(e.ctx.signal.value());
-        out.push(e.ctx.apn.index() as u8);
-        match e.ctx.bs {
-            None => out.push(0),
-            Some(BsId::Gsm { mcc, mnc, lac, cid }) => {
-                out.push(1);
-                write_varint(&mut out, u64::from(mcc));
-                write_varint(&mut out, u64::from(mnc));
-                write_varint(&mut out, u64::from(lac));
-                write_varint(&mut out, u64::from(cid));
-            }
-            Some(BsId::Cdma { sid, nid, bid }) => {
-                out.push(2);
-                write_varint(&mut out, u64::from(sid));
-                write_varint(&mut out, u64::from(nid));
-                write_varint(&mut out, u64::from(bid));
-            }
-        }
-        out.push(e.ctx.isp.index() as u8);
+        write_record(&mut out, e, prev_start);
+        prev_start = e.start.as_millis();
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -265,6 +273,73 @@ fn read_u8(bytes: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
 
 fn narrow<T: TryFrom<u64>>(v: u64, field: &'static str) -> Result<T, DecodeError> {
     T::try_from(v).map_err(|_| DecodeError::InvalidField(field))
+}
+
+/// Read one record written by [`write_record`] for `device`, its start
+/// relative to `prev_start_ms`. Total: malformed input is a
+/// [`DecodeError`].
+#[inline]
+pub fn read_record(
+    bytes: &[u8],
+    pos: &mut usize,
+    device: DeviceId,
+    prev_start_ms: u64,
+) -> Result<FailureEvent, DecodeError> {
+    let kind = FailureKind::from_index(usize::from(read_u8(bytes, pos)?))
+        .ok_or(DecodeError::InvalidField("kind"))?;
+    let delta = read_varint(bytes, pos)?;
+    let start = prev_start_ms
+        .checked_add(delta)
+        .ok_or(DecodeError::InvalidField("start"))?;
+    let duration = read_varint(bytes, pos)?;
+    let cause = match read_varint(bytes, pos)? {
+        0 => None,
+        c => {
+            let code =
+                i32::try_from(unzigzag(c - 1)).map_err(|_| DecodeError::InvalidField("cause"))?;
+            Some(DataFailCause::from_code(code))
+        }
+    };
+    let rat = Rat::from_index(usize::from(read_u8(bytes, pos)?))
+        .ok_or(DecodeError::InvalidField("rat"))?;
+    let signal_raw = read_u8(bytes, pos)?;
+    if signal_raw > 5 {
+        return Err(DecodeError::InvalidField("signal"));
+    }
+    let signal = SignalLevel::new(signal_raw);
+    let apn = Apn::from_index(usize::from(read_u8(bytes, pos)?))
+        .ok_or(DecodeError::InvalidField("apn"))?;
+    let bs = match read_u8(bytes, pos)? {
+        0 => None,
+        1 => Some(BsId::Gsm {
+            mcc: narrow(read_varint(bytes, pos)?, "mcc")?,
+            mnc: narrow(read_varint(bytes, pos)?, "mnc")?,
+            lac: narrow(read_varint(bytes, pos)?, "lac")?,
+            cid: narrow(read_varint(bytes, pos)?, "cid")?,
+        }),
+        2 => Some(BsId::Cdma {
+            sid: narrow(read_varint(bytes, pos)?, "sid")?,
+            nid: narrow(read_varint(bytes, pos)?, "nid")?,
+            bid: narrow(read_varint(bytes, pos)?, "bid")?,
+        }),
+        _ => return Err(DecodeError::InvalidField("bs_tag")),
+    };
+    let isp = Isp::from_index(usize::from(read_u8(bytes, pos)?))
+        .ok_or(DecodeError::InvalidField("isp"))?;
+    Ok(FailureEvent {
+        device,
+        kind,
+        start: SimTime::from_millis(start),
+        duration: SimDuration::from_millis(duration),
+        cause,
+        ctx: InSituInfo {
+            rat,
+            signal,
+            apn,
+            bs,
+            isp,
+        },
+    })
 }
 
 /// Decode a wire batch. Total: any malformed input yields a [`DecodeError`].
@@ -300,62 +375,9 @@ pub fn decode_batch(bytes: &[u8]) -> Result<WireBatch, DecodeError> {
     let mut records = Vec::with_capacity(count as usize);
     let mut prev_start = 0u64;
     for _ in 0..count {
-        let kind = FailureKind::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("kind"))?;
-        let delta = read_varint(payload, &mut pos)?;
-        let start = prev_start
-            .checked_add(delta)
-            .ok_or(DecodeError::InvalidField("start"))?;
-        prev_start = start;
-        let duration = read_varint(payload, &mut pos)?;
-        let cause = match read_varint(payload, &mut pos)? {
-            0 => None,
-            c => {
-                let code = i32::try_from(unzigzag(c - 1))
-                    .map_err(|_| DecodeError::InvalidField("cause"))?;
-                Some(DataFailCause::from_code(code))
-            }
-        };
-        let rat = Rat::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("rat"))?;
-        let signal_raw = read_u8(payload, &mut pos)?;
-        if signal_raw > 5 {
-            return Err(DecodeError::InvalidField("signal"));
-        }
-        let signal = SignalLevel::new(signal_raw);
-        let apn = Apn::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("apn"))?;
-        let bs = match read_u8(payload, &mut pos)? {
-            0 => None,
-            1 => Some(BsId::Gsm {
-                mcc: narrow(read_varint(payload, &mut pos)?, "mcc")?,
-                mnc: narrow(read_varint(payload, &mut pos)?, "mnc")?,
-                lac: narrow(read_varint(payload, &mut pos)?, "lac")?,
-                cid: narrow(read_varint(payload, &mut pos)?, "cid")?,
-            }),
-            2 => Some(BsId::Cdma {
-                sid: narrow(read_varint(payload, &mut pos)?, "sid")?,
-                nid: narrow(read_varint(payload, &mut pos)?, "nid")?,
-                bid: narrow(read_varint(payload, &mut pos)?, "bid")?,
-            }),
-            _ => return Err(DecodeError::InvalidField("bs_tag")),
-        };
-        let isp = Isp::from_index(usize::from(read_u8(payload, &mut pos)?))
-            .ok_or(DecodeError::InvalidField("isp"))?;
-        records.push(FailureEvent {
-            device,
-            kind,
-            start: SimTime::from_millis(start),
-            duration: SimDuration::from_millis(duration),
-            cause,
-            ctx: InSituInfo {
-                rat,
-                signal,
-                apn,
-                bs,
-                isp,
-            },
-        });
+        let e = read_record(payload, &mut pos, device, prev_start)?;
+        prev_start = e.start.as_millis();
+        records.push(e);
     }
     if pos != payload.len() {
         return Err(DecodeError::TrailingBytes);

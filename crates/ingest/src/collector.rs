@@ -125,6 +125,21 @@ impl Merge for IngestCounters {
 }
 
 /// The constant-memory aggregate a shard (and, merged, the fleet) keeps.
+///
+/// The duration sketches are the dense [`QuantileSketch`] (up to 58 KiB
+/// each, six per virtual shard) on purpose: every accepted record pushes
+/// into two of them, and a dense push is one array increment. Swapping in
+/// the sparse form was measured on the pipeline benchmark (`perfbench`, 2
+/// vCPUs of a shared host): `cluster_dump` ingest rose from 8.9–11.9k to
+/// 21–29.8k records/s and its peak memory fell from 70.7 to 7.9 MB, but
+/// `serve_live`'s upload latency rose from 7.5–7.7 to 11.2–12.6 µs at the
+/// median and from 47–51 to 66–72 µs at p99, beyond that benchmark's 25 %
+/// bound — `SparseSketch::push` is a binary search plus a `Vec` insert.
+/// The costs the dense form brought are paid elsewhere instead: a restored
+/// sketch holds only its `min..=max` span until a push lands outside it;
+/// checkpoints encode the sketches sparsely, scanning only that span;
+/// replicated checkpoints re-send only the virtual shards that changed
+/// (`cellrel_stream::link`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestAggregate {
     /// Records aggregated.
@@ -339,6 +354,11 @@ impl Collector {
             }
             Err(_) => self.unroutable += 1,
         }
+    }
+
+    /// Batches whose header could not even be peeked for routing.
+    pub fn unroutable(&self) -> u64 {
+        self.unroutable
     }
 
     /// Devices seen so far (shards partition devices, so this is exact).

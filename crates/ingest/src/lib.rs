@@ -36,7 +36,8 @@ pub mod codec;
 pub mod collector;
 
 pub use checkpoint::{
-    restore_checkpoint, restore_checkpoint_with, save_checkpoint, save_checkpoint_with,
+    check_shard, restore_checkpoint, restore_checkpoint_with, save_checkpoint,
+    save_checkpoint_with, save_shard, CheckpointParts,
 };
 pub use codec::{decode_batch, encode_batch, peek_device, DecodeError, WireBatch};
 pub use collector::{

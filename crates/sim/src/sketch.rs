@@ -26,7 +26,13 @@
 //! Two representations share the bucket geometry:
 //!
 //! * [`QuantileSketch`] — dense `BUCKETS` u64 slots (~58 KiB), O(1) push;
-//!   the right shape for a handful of long-lived fleet aggregates.
+//!   the right shape for a handful of long-lived fleet aggregates. Every
+//!   non-empty bucket lies in `bucket_of(min)..=bucket_of(max)`, so scans
+//!   (quantiles, digests, the sparse export, merges) walk only that span
+//!   and skip an empty sketch outright. A sketch rebuilt from the sparse
+//!   form holds only that span (an empty one, no slots) until a push or
+//!   merge lands outside it — restoring a checkpoint of many sketches
+//!   costs their spans, not 58 KiB each.
 //! * [`SparseSketch`] — a sorted `(bucket, count)` vector, memory
 //!   proportional to the *distinct buckets touched*; the right shape for
 //!   the analytics cube in `cellrel-store`, which keeps one sketch per
@@ -48,13 +54,33 @@ pub const BUCKETS: usize = LINEAR_MAX as usize + OCTAVES * SUBBUCKETS as usize;
 
 /// A mergeable, deterministic streaming quantile sketch over `u64` values
 /// (the workspace uses integer milliseconds).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct QuantileSketch {
     count: u64,
     min: u64,
     max: u64,
-    buckets: Box<[u64; BUCKETS]>,
+    /// Bucket index of `buckets[0]`.
+    offset: usize,
+    /// Counts of buckets `offset..offset + buckets.len()`: all `BUCKETS`
+    /// for a new sketch (so a fresh aggregate's pushes never allocate),
+    /// just the `min..=max` span for one rebuilt by `from_parts` (none when
+    /// empty), widened to all once a push or merge lands outside it. Every
+    /// non-empty bucket lies inside it.
+    buckets: Box<[u64]>,
 }
+
+/// Equal content: the same samples in the same buckets, however much of
+/// the dense array each side has allocated.
+impl PartialEq for QuantileSketch {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.min == other.min
+            && self.max == other.max
+            && self.nonzero_buckets().eq(other.nonzero_buckets())
+    }
+}
+
+impl Eq for QuantileSketch {}
 
 impl Default for QuantileSketch {
     fn default() -> Self {
@@ -148,7 +174,8 @@ impl QuantileSketch {
             count: 0,
             min: u64::MAX,
             max: 0,
-            buckets: Box::new([0; BUCKETS]),
+            offset: 0,
+            buckets: vec![0u64; BUCKETS].into_boxed_slice(),
         }
     }
 
@@ -157,7 +184,39 @@ impl QuantileSketch {
         self.count += 1;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.buckets[bucket_of(v)] += 1;
+        let i = bucket_of(v);
+        match self.buckets.get_mut(i.wrapping_sub(self.offset)) {
+            Some(c) => *c += 1,
+            None => {
+                self.widen();
+                self.buckets[i] += 1;
+            }
+        }
+    }
+
+    /// Hold all `BUCKETS` slots from here on.
+    #[cold]
+    fn widen(&mut self) {
+        let mut all = vec![0u64; BUCKETS].into_boxed_slice();
+        all[self.offset..self.offset + self.buckets.len()].copy_from_slice(&self.buckets);
+        self.buckets = all;
+        self.offset = 0;
+    }
+
+    /// The held counts of the buckets in `span`, which must lie inside the
+    /// held window.
+    fn slots(&self, span: std::ops::Range<usize>) -> &[u64] {
+        &self.buckets[span.start - self.offset..span.end - self.offset]
+    }
+
+    /// The bucket span that can hold counts: `bucket_of(min)..=bucket_of(max)`,
+    /// empty for an empty sketch. Every constructor keeps all non-empty
+    /// buckets inside it.
+    fn span(&self) -> std::ops::Range<usize> {
+        if self.count == 0 {
+            return 0..0;
+        }
+        bucket_of(self.min)..bucket_of(self.max) + 1
     }
 
     /// Samples absorbed.
@@ -183,23 +242,17 @@ impl QuantileSketch {
     /// midpoint above — so the reported value is within `1/SUBBUCKETS` of a
     /// true order statistic at that rank. Clamped into `[min, max]`.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        quantile_over(
-            self.count,
-            self.min,
-            self.max,
-            q,
-            self.buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c != 0)
-                .map(|(i, &c)| (i, c)),
-        )
+        quantile_over(self.count, self.min, self.max, q, self.nonzero_buckets())
     }
 
     /// Exact number of absorbed values `< v`'s bucket lower edge — the rank
     /// machinery quality tests use.
     pub fn rank_below_bucket_of(&self, v: u64) -> u64 {
-        self.buckets[..bucket_of(v)].iter().sum()
+        let end = bucket_of(v);
+        self.nonzero_buckets()
+            .take_while(|&(i, _)| i < end)
+            .map(|(_, c)| c)
+            .sum()
     }
 
     /// Fold the sketch into a content digest: count, min, max, then every
@@ -208,54 +261,89 @@ impl QuantileSketch {
         d.write_u64(self.count);
         d.write_u64(if self.count > 0 { self.min } else { 0 });
         d.write_u64(self.max);
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c != 0 {
-                d.write_u64(i as u64);
-                d.write_u64(c);
-            }
+        for (i, c) in self.nonzero_buckets() {
+            d.write_u64(i as u64);
+            d.write_u64(c);
         }
     }
 
     /// Non-empty `(bucket index, count)` pairs in index order — the sparse
     /// form checkpoints serialize.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
+        let span = self.span();
+        self.slots(span.clone())
             .iter()
-            .enumerate()
-            .filter(|(_, &c)| c != 0)
-            .map(|(i, &c)| (i, c))
+            .zip(span)
+            .filter(|(&c, _)| c != 0)
+            .map(|(&c, i)| (i, c))
     }
 
     /// Rebuild from the sparse form (inverse of [`Self::nonzero_buckets`],
     /// with min/max carried separately). Returns `None` if an index is out
-    /// of range or the counts overflow.
+    /// of range, the counts overflow, or a counted bucket lies outside
+    /// `bucket_of(min)..=bucket_of(max)` (which no recorded stream can
+    /// produce, and which the bounded scans rely on).
     pub fn from_parts(
         min: u64,
         max: u64,
         pairs: impl IntoIterator<Item = (usize, u64)>,
     ) -> Option<Self> {
-        let mut s = QuantileSketch::new();
+        // Hold just the span; with min > max no bucket may be counted.
+        let (lo, hi) = (bucket_of(min), bucket_of(max));
+        let mut s = QuantileSketch {
+            count: 0,
+            min: u64::MAX,
+            max: 0,
+            offset: lo,
+            buckets: vec![0u64; (hi + 1).saturating_sub(lo)].into_boxed_slice(),
+        };
         for (i, c) in pairs {
             if i >= BUCKETS {
                 return None;
             }
-            s.buckets[i] = s.buckets[i].checked_add(c)?;
+            if c == 0 {
+                continue;
+            }
+            let slot = s.buckets.get_mut(i.wrapping_sub(s.offset))?;
+            *slot = slot.checked_add(c)?;
             s.count = s.count.checked_add(c)?;
         }
-        if s.count > 0 {
-            s.min = min;
-            s.max = max;
+        if s.count == 0 {
+            // Whatever min/max said, an empty sketch holds no span.
+            s.offset = 0;
+            s.buckets = Box::default();
+            return Some(s);
         }
+        if min > max {
+            return None;
+        }
+        s.min = min;
+        s.max = max;
         Some(s)
     }
 }
 
 impl Merge for QuantileSketch {
     fn merge(&mut self, other: Self) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = other;
+            return;
+        }
+        let span = other.span();
+        if span.start < self.offset || span.end > self.offset + self.buckets.len() {
+            self.widen();
+        }
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        let offset = self.offset;
+        for (a, b) in self.buckets[span.start - offset..span.end - offset]
+            .iter_mut()
+            .zip(other.slots(span))
+        {
             *a += b;
         }
     }
@@ -362,14 +450,10 @@ impl SparseSketch {
         }
     }
 
-    /// Expand into the dense representation.
-    pub fn to_dense(&self) -> QuantileSketch {
-        QuantileSketch::from_parts(
-            self.min().unwrap_or(0),
-            self.max().unwrap_or(0),
-            self.nonzero_buckets(),
-        )
-        .expect("sparse buckets are in range by construction")
+    /// Expand into the dense representation. `None` when the buckets
+    /// are not a recorded stream's (see [`QuantileSketch::from_parts`]).
+    pub fn to_dense(&self) -> Option<QuantileSketch> {
+        QuantileSketch::from_parts(self.min, self.max, self.nonzero_buckets())
     }
 
     /// Rebuild from `(index, count)` pairs in strictly ascending index
@@ -574,6 +658,29 @@ mod tests {
         assert_eq!(s.max(), None);
     }
 
+    /// An empty sketch rebuilt from parts holds no span whatever min/max
+    /// it was given, and behaves like a new one.
+    #[test]
+    fn empty_sketch_from_parts_is_a_new_sketch() {
+        assert_eq!(SparseSketch::new().to_dense(), Some(QuantileSketch::new()));
+        let mut e = QuantileSketch::from_parts(1000, 0, []).expect("empty");
+        assert_eq!(e, QuantileSketch::new());
+        assert_eq!(e.nonzero_buckets().count(), 0);
+        assert_eq!(e.quantile(0.5), None);
+        let (mut de, mut dn) = (Digest64::new(), Digest64::new());
+        e.absorb_into(&mut de);
+        QuantileSketch::new().absorb_into(&mut dn);
+        assert_eq!(de.finish(), dn.finish());
+        let mut m = QuantileSketch::from_parts(1000, 5000, [(0, 0)]).expect("empty");
+        m.merge(e.clone());
+        assert_eq!(m, QuantileSketch::new());
+        e.push(70_000);
+        let mut fresh = QuantileSketch::new();
+        fresh.push(70_000);
+        assert_eq!(e, fresh);
+        assert_eq!(e.quantile(0.5), Some(70_000));
+    }
+
     #[test]
     fn merge_is_commutative_bitwise() {
         let mut a = QuantileSketch::new();
@@ -622,6 +729,69 @@ mod tests {
         let r = QuantileSketch::from_parts(s.min().unwrap(), s.max().unwrap(), pairs).unwrap();
         assert_eq!(r, s);
         assert!(QuantileSketch::from_parts(0, 0, [(BUCKETS, 1)]).is_none());
+        // Counts outside bucket_of(min)..=bucket_of(max), or min > max,
+        // cannot come from a recorded stream and are rejected.
+        assert!(QuantileSketch::from_parts(10, 20, [(9, 1)]).is_none());
+        assert!(QuantileSketch::from_parts(10, 20, [(21, 1)]).is_none());
+        assert!(QuantileSketch::from_parts(20, 10, [(15, 1)]).is_none());
+        assert!(QuantileSketch::from_parts(10, 20, [(10, 1), (20, 2)]).is_some());
+    }
+
+    /// The span-bounded scans answer exactly what a full scan would, and an
+    /// empty sketch merges, digests and exports as nothing.
+    #[test]
+    fn bounded_scans_match_full_scans() {
+        let mut s = QuantileSketch::new();
+        for v in [700u64, 701, 9_000, 9_000, 123_456] {
+            s.push(v);
+        }
+        let full: Vec<(usize, u64)> = s
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c != 0)
+            .map(|(i, &c)| (i, c))
+            .collect();
+        assert_eq!(s.nonzero_buckets().collect::<Vec<_>>(), full);
+        assert_eq!(QuantileSketch::new().nonzero_buckets().count(), 0);
+
+        let mut merged = QuantileSketch::new();
+        merged.merge(QuantileSketch::new());
+        assert_eq!(merged, QuantileSketch::new());
+        merged.merge(s.clone());
+        merged.merge(QuantileSketch::new());
+        assert_eq!(merged, s);
+    }
+
+    /// A sketch rebuilt from its sparse form holds only its span, answers
+    /// exactly like the original, and keeps doing so as pushes and merges
+    /// land outside that span.
+    #[test]
+    fn a_rebuilt_sketch_holds_its_span_and_widens_on_demand() {
+        let mut s = QuantileSketch::new();
+        for v in [700u64, 701, 9_000, 9_000, 123_456] {
+            s.push(v);
+        }
+        let mut r = QuantileSketch::from_parts(700, 123_456, s.nonzero_buckets()).expect("valid");
+        assert_eq!(r, s);
+        assert_eq!(r.buckets.len(), bucket_of(123_456) - bucket_of(700) + 1);
+        for q in [0.0, 0.3, 0.5, 0.9, 1.0] {
+            assert_eq!(r.quantile(q), s.quantile(q));
+        }
+        assert_eq!(r.rank_below_bucket_of(9_000), s.rank_below_bucket_of(9_000));
+        // Inside the span: no growth. Outside: widened, same content.
+        r.push(5_000);
+        s.push(5_000);
+        assert_eq!(r.buckets.len(), bucket_of(123_456) - bucket_of(700) + 1);
+        r.push(3);
+        s.push(3);
+        assert_eq!((r.buckets.len(), &r), (BUCKETS, &s));
+        let mut narrow = QuantileSketch::from_parts(10, 10, [(10, 2)]).expect("valid");
+        narrow.merge(r.clone());
+        let mut wide = s.clone();
+        wide.push(10);
+        wide.push(10);
+        assert_eq!(narrow, wide);
     }
 
     #[test]
@@ -641,7 +811,7 @@ mod tests {
         let sp: Vec<_> = sparse.nonzero_buckets().collect();
         let dp: Vec<_> = dense.nonzero_buckets().collect();
         assert_eq!(sp, dp);
-        assert_eq!(sparse.to_dense(), dense);
+        assert_eq!(sparse.to_dense(), Some(dense.clone()));
         let mut ds = Digest64::new();
         sparse.absorb_into(&mut ds);
         let mut dd = Digest64::new();

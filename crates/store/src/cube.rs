@@ -308,9 +308,11 @@ impl DeviceDirectory {
     /// devices `keep` selects — so a sharded store's
     /// [`Store::register_population`] seeds exactly its ownership slice,
     /// and the union of shard views reproduces the full directory.
+    /// Filtering a view narrows it: a device stays only if this view
+    /// already yields it and `keep` selects it.
     pub fn filtered(&self, keep: impl Fn(DeviceId) -> bool) -> Self {
         let owned = (0..self.dims.len())
-            .map(|i| keep(DeviceId(i as u32)))
+            .map(|i| self.owned.as_ref().map_or(true, |m| m[i]) && keep(DeviceId(i as u32)))
             .collect();
         DeviceDirectory {
             dims: self.dims.clone(),

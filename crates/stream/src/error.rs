@@ -33,6 +33,14 @@ pub enum StreamError {
     SegmentMismatch(String),
     /// A filesystem-backed segment store hit an I/O error.
     Io(String),
+    /// A delta checkpoint link does not extend the standby's newest link
+    /// (wrong link number or a different parent).
+    DetachedLink {
+        /// The standby's newest link number.
+        standby: u64,
+        /// The refused link's number.
+        link: u64,
+    },
 }
 
 impl std::fmt::Display for StreamError {
@@ -57,6 +65,12 @@ impl std::fmt::Display for StreamError {
                 write!(f, "segment disagrees with manifest: {name}")
             }
             StreamError::Io(e) => write!(f, "segment backend i/o: {e}"),
+            StreamError::DetachedLink { standby, link } => {
+                write!(
+                    f,
+                    "delta link {link} does not extend standby link {standby}"
+                )
+            }
         }
     }
 }

@@ -26,6 +26,9 @@
 //!   backend. Restart is **digest-transparent**: replaying the remaining
 //!   batches yields byte-identical store digests, manifests, and tables,
 //!   even when the kill lands mid-window ([`campaign::run_kill_restart`]).
+//! - [`StreamPipeline::checkpoint_link`] is the replicated form: one full
+//!   checkpoint, then small delta links that a [`Standby`] applies without
+//!   a restore and reassembles into the same checkpoint bytes ([`link`]).
 //!
 //! Everything is std-only and deterministic; all decode paths are total
 //! (malformed checkpoint/segment/manifest bytes yield a typed
@@ -33,6 +36,7 @@
 
 pub mod campaign;
 pub mod checkpoint;
+pub mod link;
 pub mod pipeline;
 pub mod publish;
 pub mod segment;
@@ -43,6 +47,7 @@ mod error;
 pub use campaign::{run_kill_restart, KillOutcome, KillRestartConfig, KillRestartReport};
 pub use checkpoint::{CKPT_STREAM_MAGIC, CKPT_STREAM_VERSION};
 pub use error::StreamError;
+pub use link::{is_delta_link, Standby, LINK_MAGIC, LINK_VERSION};
 pub use pipeline::{StreamConfig, StreamCounters, StreamPipeline};
 pub use publish::run_published;
 pub use segment::{

@@ -1,11 +1,12 @@
 //! The continuously running pipeline: collector → windows → tiers.
 
+use crate::link::LinkJournal;
 use crate::segment::{encode_segment, SegmentEntry, SegmentKind, SegmentStore};
 use crate::StreamError;
 use cellrel_analysis::store_tables::{table1_from_store, table2_from_store};
 use cellrel_analysis::table1::Table1;
 use cellrel_analysis::table2::Table2;
-use cellrel_ingest::{AcceptedSink, Collector, CollectorConfig};
+use cellrel_ingest::{peek_device, AcceptedSink, Collector, CollectorConfig};
 use cellrel_sim::Merge;
 use cellrel_store::{DeviceDirectory, QueryError, Store, StoreConfig};
 use cellrel_types::FailureEvent;
@@ -99,6 +100,8 @@ struct WindowRouter<'a> {
     pending: &'a mut BTreeMap<u64, Store>,
     late: &'a mut Store,
     counters: &'a mut StreamCounters,
+    /// Records routed since the last checkpoint link, when links are on.
+    journal: Option<&'a mut LinkJournal>,
 }
 
 impl AcceptedSink for WindowRouter<'_> {
@@ -109,11 +112,17 @@ impl AcceptedSink for WindowRouter<'_> {
         if w < self.sealed_before {
             self.counters.late_records += 1;
             self.late.record(e, dim);
+            if let Some(j) = self.journal.as_deref_mut() {
+                j.late.push(*e);
+            }
         } else {
             self.pending
                 .entry(w)
                 .or_insert_with(|| Store::new(&self.store_cfg))
                 .record(e, dim);
+            if let Some(j) = self.journal.as_deref_mut() {
+                j.windows.entry(w).or_default().push(*e);
+            }
         }
     }
 }
@@ -146,6 +155,9 @@ pub struct StreamPipeline<'d> {
     /// Every segment ever sealed, in seal order.
     pub(crate) manifest: Vec<SegmentEntry>,
     pub(crate) counters: StreamCounters,
+    /// What changed since the last checkpoint link; `None` until the first
+    /// link (a full base) is taken. Never serialized.
+    pub(crate) links: Option<LinkJournal>,
 }
 
 impl<'d> StreamPipeline<'d> {
@@ -165,6 +177,7 @@ impl<'d> StreamPipeline<'d> {
             hot: VecDeque::new(),
             manifest: Vec::new(),
             counters: StreamCounters::default(),
+            links: None,
         })
     }
 
@@ -176,6 +189,14 @@ impl<'d> StreamPipeline<'d> {
         bytes: &[u8],
         segs: &mut dyn SegmentStore,
     ) -> Result<Vec<SegmentEntry>, StreamError> {
+        if let Some(j) = &mut self.links {
+            // A batch folds into at most its device's virtual shard; a
+            // header that cannot be peeked only bumps `unroutable`, which
+            // every link carries anyway.
+            if let Ok(device) = peek_device(bytes) {
+                j.dirty.insert(self.collector.shard_of(device));
+            }
+        }
         let mut router = WindowRouter {
             window_ms: self.cfg.window_ms,
             sealed_before: self.sealed_before,
@@ -184,6 +205,7 @@ impl<'d> StreamPipeline<'d> {
             pending: &mut self.pending,
             late: &mut self.late,
             counters: &mut self.counters,
+            journal: self.links.as_mut(),
         };
         self.collector.ingest_with(bytes, &mut router);
         self.cursor += 1;
@@ -270,6 +292,15 @@ impl<'d> StreamPipeline<'d> {
         entry.bytes = bytes.len() as u64;
         segs.put(&entry.name(), &bytes)?;
         self.counters.segments_persisted += 1;
+        if let Some(j) = &mut self.links {
+            // The sealed records now travel as the segment itself.
+            match kind {
+                SegmentKind::Window => {
+                    j.windows.remove(&index);
+                }
+                SegmentKind::Late => j.late.clear(),
+            }
+        }
         self.manifest.push(entry);
         self.tier_insert(entry, delta, true);
         Ok(entry)

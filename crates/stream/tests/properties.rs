@@ -1,14 +1,14 @@
 //! Property-based totality and round-trip tests for the stream formats:
-//! the pipeline checkpoint, the segment frame, and the manifest must
-//! restore exactly from their own bytes and map every truncated,
-//! bit-flipped, or garbage input onto a typed [`StreamError`] — never a
-//! panic (mirror of `crates/ingest/tests/properties.rs`).
+//! the pipeline checkpoint, its delta links, the segment frame, and the
+//! manifest must restore exactly from their own bytes and map every
+//! truncated, bit-flipped, or garbage input onto a typed [`StreamError`] —
+//! never a panic (mirror of `crates/ingest/tests/properties.rs`).
 
 use cellrel_ingest::{encode_batch, CollectorConfig};
 use cellrel_store::{DeviceDirectory, StoreConfig};
 use cellrel_stream::{
     decode_manifest, decode_segment, encode_segment, MemSegments, SegmentEntry, SegmentKind,
-    StreamConfig, StreamError, StreamPipeline,
+    Standby, StreamConfig, StreamError, StreamPipeline,
 };
 use cellrel_types::{
     Apn, DeviceId, FailureEvent, FailureKind, InSituInfo, Isp, Rat, SignalLevel, SimDuration,
@@ -56,19 +56,46 @@ fn evt(device: u32, ms: u64) -> FailureEvent {
 /// fold the hot tier, and route late records (device 0 lags behind the
 /// watermark). Returns (checkpoint bytes, surviving segments, digest).
 fn populated(devices: u32, rounds: usize) -> (Vec<u8>, MemSegments, u64) {
-    let cfg = small_cfg();
     let dir = DeviceDirectory::default();
-    let mut p = StreamPipeline::new(&cfg, &dir).expect("valid config");
     let mut segs = MemSegments::new();
-    for s in 0..rounds {
+    let p = drive(&dir, &mut segs, devices, 0..rounds, None);
+    (p.checkpoint(), segs, p.digest())
+}
+
+fn drive<'d>(
+    dir: &'d DeviceDirectory,
+    segs: &mut MemSegments,
+    devices: u32,
+    rounds: std::ops::Range<usize>,
+    from: Option<StreamPipeline<'d>>,
+) -> StreamPipeline<'d> {
+    let mut p = from.unwrap_or_else(|| StreamPipeline::new(&small_cfg(), dir).expect("valid"));
+    for s in rounds {
         for d in 0..devices {
             let t = (s as u64 * u64::from(devices) + u64::from(d)) * 2_100;
             let t = if d == 0 { t.saturating_sub(9_000) } else { t };
             let b = encode_batch(DeviceId(d), s as u64, &[evt(d, t), evt(d, t + 350)]);
-            p.offer(&b, &mut segs).expect("offer succeeds");
+            p.offer(&b, segs).expect("offer succeeds");
         }
     }
-    (p.checkpoint(), segs, p.digest())
+    p
+}
+
+/// A base link after `split` rounds and the delta link after the rest:
+/// (base, delta, the pipeline's manifest and checkpoint at the delta,
+/// segments).
+fn linked(
+    devices: u32,
+    split: usize,
+    rounds: usize,
+) -> (Vec<u8>, Vec<u8>, Vec<SegmentEntry>, Vec<u8>, MemSegments) {
+    let dir = DeviceDirectory::default();
+    let mut segs = MemSegments::new();
+    let mut p = drive(&dir, &mut segs, devices, 0..split, None);
+    let base = p.checkpoint_link();
+    let mut p = drive(&dir, &mut segs, devices, split..rounds, Some(p));
+    let delta = p.checkpoint_link();
+    (base, delta, p.manifest().to_vec(), p.checkpoint(), segs)
 }
 
 proptest! {
@@ -202,6 +229,69 @@ proptest! {
         let mut flipped = bytes.clone();
         flipped[cut] ^= mask;
         prop_assert!(decode_segment(&flipped).is_err());
+    }
+
+    /// A delta link applied to its base reassembles the pipeline's own
+    /// checkpoint byte for byte.
+    #[test]
+    fn delta_links_reassemble_the_checkpoint(
+        devices in 1u32..6,
+        split in 0usize..4,
+        more in 1usize..4,
+    ) {
+        let (base, delta, verified, want, segs) = linked(devices, split, split + more);
+        let dir = DeviceDirectory::default();
+        let mut standby = Standby::from_base(&base, &segs).expect("own base");
+        prop_assert_eq!(standby.checkpoint(), base);
+        standby.apply(&delta, &verified, &dir).expect("own delta applies");
+        prop_assert_eq!(standby.link(), 1);
+        prop_assert_eq!(standby.checkpoint(), want);
+    }
+
+    /// Every strict prefix and every single-byte flip of a delta link is a
+    /// typed error that leaves the standby unchanged.
+    #[test]
+    fn truncated_or_corrupted_delta_links_are_errors(
+        devices in 1u32..5,
+        split in 0usize..3,
+        more in 1usize..3,
+        at_seed in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let (base, delta, verified, _, segs) = linked(devices, split, split + more);
+        let dir = DeviceDirectory::default();
+        let mut standby = Standby::from_base(&base, &segs).expect("own base");
+        let at = at_seed % delta.len();
+        prop_assert!(standby.apply(&delta[..at], &verified, &dir).is_err());
+        let mut flipped = delta.clone();
+        flipped[at] ^= mask;
+        prop_assert!(standby.apply(&flipped, &verified, &dir).is_err());
+        prop_assert_eq!(standby.checkpoint(), base);
+        prop_assert_eq!(standby.link(), 0);
+    }
+
+    /// Arbitrary garbage never panics a standby's base or delta intake.
+    #[test]
+    fn garbage_never_panics_standby_intake(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let (base, _, verified, _, segs) = linked(2, 1, 2);
+        let dir = DeviceDirectory::default();
+        let _ = Standby::from_base(&bytes, &segs);
+        let mut standby = Standby::from_base(&base, &segs).expect("own base");
+        // CRC-valid frames that get past the identity check, so the body
+        // decoders see the garbage.
+        let base_crc = u32::from_le_bytes(base[base.len() - 4..].try_into().expect("4 bytes"));
+        let mut framed = vec![b'S', b'D', cellrel_stream::LINK_VERSION, 1];
+        cellrel_ingest::codec::write_varint(&mut framed, u64::from(base_crc));
+        framed.extend_from_slice(&bytes);
+        let crc = cellrel_ingest::codec::crc32(&framed);
+        framed.extend_from_slice(&crc.to_le_bytes());
+        for input in [&bytes, &framed] {
+            if standby.apply(input, &verified, &dir).is_err() {
+                prop_assert_eq!(standby.checkpoint(), base.clone());
+            }
+        }
     }
 
     /// Garbage never panics the segment or manifest decoders.
